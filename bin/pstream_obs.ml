@@ -382,6 +382,92 @@ let soakcheck_cmd =
   Cmd.v (Cmd.info "soakcheck" ~doc)
     Term.(const soakcheck $ soak_path_arg $ expect_kills_arg)
 
+(* --- benchcheck: the hot-path throughput regression gate --------------- *)
+
+(* Per-scenario [batch_per_s] of a BENCH_hot_path.json, or the reasons it
+   is malformed. *)
+let hot_path_rates path =
+  match read_report path with
+  | Error e -> Error [ e ]
+  | Ok j -> (
+      let str name o = Option.bind (Obs.Json.member name o) Obs.Json.to_str in
+      let rate o =
+        match Obs.Json.member "batch_per_s" o with
+        | Some v -> (
+            match Obs.Json.to_int v with
+            | Some n -> Some n
+            | None -> Option.map int_of_float (Obs.Json.to_float v))
+        | None -> None
+      in
+      match
+        (str "benchmark" j, Option.bind (Obs.Json.member "runs" j) Obs.Json.to_list)
+      with
+      | Some "hot_path", Some (_ :: _ as runs) ->
+          let rows =
+            List.map
+              (fun r ->
+                match (str "scenario" r, rate r) with
+                | Some s, Some n -> Ok (s, n)
+                | _ ->
+                    Error
+                      (Fmt.str "%s: a run row lacks scenario or batch_per_s" path))
+              runs
+          in
+          let bad = List.filter_map (function Error e -> Some e | Ok _ -> None) rows in
+          if bad <> [] then Error bad
+          else Ok (List.filter_map Result.to_option rows)
+      | Some "hot_path", _ -> Error [ Fmt.str "%s: no \"runs\" rows" path ]
+      | _ -> Error [ Fmt.str "%s: not a hot_path benchmark artifact" path ])
+
+(* Fails when a scenario's batched throughput drops below 70% of the
+   baseline: a >30% regression must be investigated, not committed by
+   inertia. Scenarios present on one side only are reported, not failed. *)
+let benchcheck new_path baseline_path =
+  match (hot_path_rates new_path, hot_path_rates baseline_path) with
+  | Error es, _ | _, Error es ->
+      List.iter (fun e -> Fmt.epr "benchcheck FAIL: %s@." e) es;
+      1
+  | Ok fresh, Ok base ->
+      let failed = ref false in
+      List.iter
+        (fun (scenario, old_rate) ->
+          match List.assoc_opt scenario fresh with
+          | None ->
+              Fmt.epr "benchcheck: NOTE scenario '%s' present in baseline only@."
+                scenario
+          | Some rate when rate * 10 < old_rate * 7 ->
+              failed := true;
+              Fmt.epr
+                "benchcheck FAIL %s: batch_per_s %d -> %d (more than 30%% \
+                 regression)@."
+                scenario old_rate rate
+          | Some rate ->
+              Fmt.pr "benchcheck: ok   %s: batch_per_s %d -> %d@." scenario
+                old_rate rate)
+        base;
+      List.iter
+        (fun (scenario, _) ->
+          if not (List.mem_assoc scenario base) then
+            Fmt.epr "benchcheck: NOTE scenario '%s' is new (no baseline)@."
+              scenario)
+        fresh;
+      if !failed then 1 else 0
+
+let bench_path_arg ~pos:p ~docv ~doc =
+  Arg.(required & pos p (some file) None & info [] ~docv ~doc)
+
+let benchcheck_cmd =
+  let doc =
+    "fail when any BENCH_hot_path.json scenario lost more than 30% batched \
+     throughput against a baseline artifact"
+  in
+  Cmd.v (Cmd.info "benchcheck" ~doc)
+    Term.(
+      const benchcheck
+      $ bench_path_arg ~pos:0 ~docv:"NEW" ~doc:"The freshly written artifact."
+      $ bench_path_arg ~pos:1 ~docv:"BASELINE"
+          ~doc:"The artifact to compare against (e.g. the one tracked at HEAD).")
+
 (* --- top: live terminal view ------------------------------------------- *)
 
 let top address interval once =
@@ -406,6 +492,6 @@ let cmd =
   let doc = "inspect and verify pstream telemetry artifacts" in
   Cmd.group
     (Cmd.info "pstream-obs" ~doc)
-    [ verify_cmd; scrape_cmd; tail_cmd; top_cmd; soakcheck_cmd ]
+    [ verify_cmd; scrape_cmd; tail_cmd; top_cmd; soakcheck_cmd; benchcheck_cmd ]
 
 let () = exit (Cmd.eval' cmd)

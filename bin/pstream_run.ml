@@ -130,10 +130,11 @@ let run_sharded ~shards ~policy ~sample_every ~label ~trace_file ~report_file
   if alarms <> [] then 3 else 0
 
 (* Multi-query mode: N --query files share one input and, where the
-   shareability check admits it, one physical sub-join. The workload,
-   chaos and contract flags of the single-query mode do not apply here —
-   the surface is the registry, the shared plan, per-query output hashes
-   and the owner-labelled state breakdown. *)
+   shareability check admits it, one physical sub-join. The replay, chaos,
+   contract, supervision and checkpoint flags of the single-query mode do
+   not apply here ([run_query] refuses them) — the surface is the
+   registry, the shared plan, per-query output hashes and the
+   owner-labelled state breakdown. *)
 let run_multi ~files ~no_share ~rounds ~tuples_per_round ~punct_lag ~policy
     ~force ~sample_every ~shards ~trace_file ~report_file ~listen =
   let parsed =
@@ -633,10 +634,36 @@ let run_query file multi_files no_share rounds tuples_per_round punct_lag
   | _ :: _, Some _ ->
       Fmt.epr "--query and the QUERY positional are mutually exclusive@.";
       1
-  | _ :: _, None ->
-      run_multi ~files:multi_files ~no_share ~rounds ~tuples_per_round
-        ~punct_lag ~policy ~force ~sample_every ~shards ~trace_file
-        ~report_file ~listen
+  | _ :: _, None -> (
+      (* Multi-query mode has no input replay, chaos, contract, supervision
+         or checkpoint path, and its sharded driver no telemetry: refuse
+         such flags instead of dropping them. *)
+      let given =
+        [
+          (replay <> None, "--replay");
+          (save_trace <> None, "--save-trace");
+          (faults <> None, "the fault-injection flags");
+          (contract_config <> None, "the contract flags");
+          (kills <> [], "--kill-shard");
+          (max_restarts <> 2, "--max-restarts");
+          (checkpoint_every <> None, "--checkpoint-every");
+          (checkpoint_dir <> None, "--checkpoint-dir");
+          (resume_dir <> None, "--resume");
+          (shards > 1 && report_file <> None, "--report with --shards > 1");
+          (shards > 1 && trace_file <> None, "--trace with --shards > 1");
+          (shards > 1 && listen <> None, "--listen with --shards > 1");
+        ]
+        |> List.filter_map (fun (set, flag) -> if set then Some flag else None)
+      in
+      match given with
+      | [] ->
+          run_multi ~files:multi_files ~no_share ~rounds ~tuples_per_round
+            ~punct_lag ~policy ~force ~sample_every ~shards ~trace_file
+            ~report_file ~listen
+      | flags ->
+          Fmt.epr "multi-query mode (--query) does not support %s@."
+            (String.concat ", " flags);
+          1)
   | [], None ->
       Fmt.epr "a QUERY file (or at least one --query) is required@.";
       1
@@ -663,8 +690,9 @@ let multi_queries =
           "Add a query to a multi-query run (repeatable). All queries share \
            one synthetic input; equivalent sub-joins execute as one shared \
            operator when the safety check admits the sharing (see \
-           TUTORIAL.md §18). Chaos, contract and replay flags apply only to \
-           single-query mode.")
+           TUTORIAL.md §18). Chaos, contract, replay, supervision and \
+           checkpoint flags apply only to single-query mode and are refused \
+           here; with $(b,--shards) > 1 so are the telemetry flags.")
 
 let no_share =
   Arg.(

@@ -84,6 +84,13 @@ let attr_in_node node s attr =
   | Leaf _ -> attr
   | Inner _ -> Schema.qualify_attr ~origin:s attr
 
+let rec register_leaves ct = function
+  | Leaf l ->
+      List.iter
+        (fun sch -> Contract.register_source ct ~stream:l.stream sch)
+        l.schemes
+  | Inner i -> List.iter (register_leaves ct) i.children
+
 let compile ?(config = Config.default) query plan =
   let {
     Config.policy;
@@ -234,13 +241,6 @@ let compile ?(config = Config.default) query plan =
           }
   in
   let root = build plan in
-  let rec register_leaves ct = function
-    | Leaf l ->
-        List.iter
-          (fun sch -> Contract.register_source ct ~stream:l.stream sch)
-          l.schemes
-    | Inner i -> List.iter (register_leaves ct) i.children
-  in
   Option.iter (fun ct -> register_leaves ct root) contract;
   { root; all_ops = List.rev !ops; cfg = config;
     unreachable = List.rev !unreachable }
@@ -253,15 +253,7 @@ let contract c = c.cfg.Config.contract
 (* Arm a (possibly different) contract's stall tracking with this tree's
    leaf sources — the sharded driver tracks stalls on its own contract
    while the per-shard contracts handle late data inside the workers. *)
-let register_sources ct c =
-  let rec go = function
-    | Leaf l ->
-        List.iter
-          (fun sch -> Contract.register_source ct ~stream:l.stream sch)
-          l.schemes
-    | Inner i -> List.iter go i.children
-  in
-  go c.root
+let register_sources ct c = register_leaves ct c.root
 
 let unreachable_inputs c op_name =
   match List.assoc_opt op_name c.unreachable with Some l -> l | None -> []
@@ -270,27 +262,13 @@ let output_schema c = node_schema c.root
 
 let derived_schemes c = node_schemes c.root
 
-let total_data_state c =
-  List.fold_left
-    (fun acc (op : Operator.t) -> acc + op.data_state_size ())
-    0 c.all_ops
+let total f c = List.fold_left (fun acc op -> acc + f op) 0 c.all_ops
+let total_data_state = total (fun (op : Operator.t) -> op.data_state_size ())
+let total_punct_state = total (fun (op : Operator.t) -> op.punct_state_size ())
+let total_index_state = total (fun (op : Operator.t) -> op.index_state_size ())
+let total_state_bytes = total (fun (op : Operator.t) -> op.state_bytes ())
 
-let total_punct_state c =
-  List.fold_left
-    (fun acc (op : Operator.t) -> acc + op.punct_state_size ())
-    0 c.all_ops
-
-let total_index_state c =
-  List.fold_left
-    (fun acc (op : Operator.t) -> acc + op.index_state_size ())
-    0 c.all_ops
-
-let total_state_bytes c =
-  List.fold_left
-    (fun acc (op : Operator.t) -> acc + op.state_bytes ())
-    0 c.all_ops
-
-type breakdown = {
+type breakdown = Grid.breakdown = {
   op_name : string;
   data : int;
   puncts : int;
@@ -298,17 +276,13 @@ type breakdown = {
   bytes : int;
 }
 
-let state_breakdown c =
+let rows c =
   List.map
     (fun (op : Operator.t) ->
-      {
-        op_name = op.name;
-        data = op.data_state_size ();
-        puncts = op.punct_state_size ();
-        index = op.index_state_size ();
-        bytes = op.state_bytes ();
-      })
+      { Grid.copies = [ op ]; unreachable = unreachable_inputs c op.name })
     c.all_ops
+
+let state_breakdown c = List.map Grid.breakdown (rows c)
 
 type result = {
   outputs : Element.t list;
@@ -414,62 +388,18 @@ let feed_batch c elements = feed_batch c.root elements
 
 let flush_tree c = final_flush c.root
 
+(* One loop for both drives: [batch] cuts runs of up to that many
+   elements through the [push_batch] walk; element-at-a-time is a cut of
+   one through the per-element walk, so purge rounds on nested plans stay
+   those of pushing each element down the tree. No run straddles a grid
+   point, and the clock jumps to a run's last tick before it is fed —
+   events inside a run share that tick. *)
 let run ?(sample_every = 100) ?batch ?sink ?(label = "run") ?exporter c
     elements =
   let telemetry = c.cfg.Config.telemetry in
-  let metrics = Metrics.create ~sample_every () in
+  let contract = c.cfg.Config.contract in
   let outputs = ref [] in
   let emitted = ref 0 in
-  let consumed = ref 0 in
-  (* Live observability on the sampling grid: per-operator state gauges,
-     GC-delta counters and (when an exporter is attached) a rendered
-     snapshot published to the endpoint. Registry-only — the event trace,
-     metrics series and outputs are untouched, so an exporter-less run and
-     an exported one differ in nothing but these run-nondeterministic
-     registry entries (asserted by a test). *)
-  let prev_snapshot = ref None in
-  let prev_gc = ref (Gc.quick_stat ()) in
-  let observe_plane ~tick =
-    List.iter
-      (fun b ->
-        let set suffix v =
-          Telemetry.set_gauge ~agg:Obs.Counters.Sum telemetry
-            (b.op_name ^ "." ^ suffix) v
-        in
-        set "data_state" b.data;
-        set "punct_state" b.puncts;
-        set "index_state" b.index;
-        set "state_bytes" b.bytes)
-      (state_breakdown c);
-    let s = Gc.quick_stat () in
-    let p = !prev_gc in
-    prev_gc := s;
-    let dw f = max 0 (int_of_float (f s -. f p)) in
-    let di f = max 0 (f s - f p) in
-    Telemetry.incr ~by:(dw (fun (g : Gc.stat) -> g.minor_words)) telemetry
-      "gc_minor_words";
-    Telemetry.incr ~by:(dw (fun (g : Gc.stat) -> g.promoted_words)) telemetry
-      "gc_promoted_words";
-    Telemetry.incr ~by:(dw (fun (g : Gc.stat) -> g.major_words)) telemetry
-      "gc_major_words";
-    Telemetry.incr ~by:(di (fun (g : Gc.stat) -> g.minor_collections))
-      telemetry "gc_minor_collections";
-    Telemetry.incr ~by:(di (fun (g : Gc.stat) -> g.major_collections))
-      telemetry "gc_major_collections";
-    Telemetry.incr ~by:(di (fun (g : Gc.stat) -> g.compactions)) telemetry
-      "gc_compactions";
-    Telemetry.set_gauge ~agg:Obs.Counters.Sum telemetry "gc_heap_words"
-      s.heap_words;
-    match exporter with
-    | None -> ()
-    | Some ex ->
-        let snap =
-          Obs.Snapshot.capture ?prev:!prev_snapshot ~tick
-            (Telemetry.registry telemetry)
-        in
-        prev_snapshot := Some snap;
-        Obs.Exporter.publish ex (Obs.Openmetrics.render snap)
-  in
   (* [emitted] counts the data tuples that actually reach the outputs —
      when a sink operator filters or aggregates, it is counted *after* the
      sink, not before (the pre-sink count over-reported under filtering
@@ -489,142 +419,35 @@ let run ?(sample_every = 100) ?batch ?sink ?(label = "run") ?exporter c
             outputs := e :: !outputs)
       outs
   in
-  let sample ~tick =
-    if Telemetry.enabled telemetry then begin
-      observe_plane ~tick;
-      Telemetry.emit telemetry
-        (Obs.Event.Sample
-           {
-             tick;
-             data_state = total_data_state c;
-             punct_state = total_punct_state c;
-             index_state = total_index_state c;
-             state_bytes = total_state_bytes c;
-             emitted = !emitted;
-           });
-      match Telemetry.watchdog telemetry with
-      | None -> ()
-      | Some w ->
-          List.iter
-            (fun (op : Operator.t) ->
-              match
-                Obs.Watchdog.observe w ~op:op.name ~tick
-                  ~size:(op.data_state_size ())
-                  ~unreachable:(unreachable_inputs c op.name)
-              with
-              | None -> ()
-              | Some (a : Obs.Watchdog.alarm) ->
-                  Telemetry.emit telemetry
-                    (Obs.Event.Alarm
-                       {
-                         tick = a.tick;
-                         op = a.op;
-                         slope = a.slope;
-                         size = a.size;
-                         unreachable = a.unreachable;
-                       }))
-            c.all_ops
-    end
+  let plane =
+    Grid.in_process telemetry ?contract ?exporter ~sample_every ~label
+      ~rows:(rows c)
+      ~emitted:(fun () -> !emitted)
+      ()
   in
-  (* Contract checks run on the sampling grid whether or not telemetry is
-     enabled: stall detection and budget enforcement are behaviour, not
-     instrumentation. With no contract these are no-ops and the run is
-     byte-identical to the pre-contract engine. *)
-  let contract_checks ~tick =
-    match c.cfg.Config.contract with
-    | None -> ()
-    | Some ct ->
-        ignore
-          (Contract.check_stalls ct
-             ~emit:(fun e -> Telemetry.emit telemetry e)
-             ?watchdog:(Telemetry.watchdog telemetry) ~tick ());
-        ignore
-          (Contract.enforce_budget ct ~telemetry ~tick
-             ~bytes_now:(fun () -> total_state_bytes c)
-             ())
+  let walk =
+    match batch with
+    | None -> fun run -> feed c.root run.(0)
+    | Some _ -> feed_batch c
   in
-  if Telemetry.enabled telemetry then begin
-    Telemetry.set_clock telemetry 0;
-    Telemetry.emit telemetry (Obs.Event.Run_start { tick = 0; label })
-  end;
-  (match batch with
-  | None ->
-      Seq.iter
-        (fun element ->
-          incr consumed;
-          Telemetry.set_clock telemetry !consumed;
-          (match c.cfg.Config.contract with
-          | Some ct -> Contract.note_element ct ~tick:!consumed element
-          | None -> ());
-          accept (feed c.root element);
-          Metrics.observe metrics ~tick:!consumed
-            ~data_state:(total_data_state c)
-            ~punct_state:(total_punct_state c)
-            ~index_state:(total_index_state c)
-            ~state_bytes:(total_state_bytes c) ~emitted:!emitted ();
-          if !consumed mod sample_every = 0 then begin
-            contract_checks ~tick:!consumed;
-            sample ~tick:!consumed
-          end)
-        elements
-  | Some b ->
-      (* Batched driving: buffer up to [b] elements, but always cut at the
-         sampling grid so metrics/contract checks observe exactly the grid
-         ticks the element path samples (Metrics.observe only records on
-         the grid, so the series are equal). The element clock jumps to the
-         batch-end tick before the feed — within-batch events share it. *)
-      let b = max 1 b in
-      let buf = ref [] in
-      let nbuf = ref 0 in
-      let feed_buffered () =
-        if !nbuf > 0 then begin
-          let arr = Array.of_list (List.rev !buf) in
-          buf := [];
-          nbuf := 0;
-          let base = !consumed in
-          consumed := base + Array.length arr;
-          Telemetry.set_clock telemetry !consumed;
-          (match c.cfg.Config.contract with
-          | Some ct ->
-              Array.iteri
-                (fun k e -> Contract.note_element ct ~tick:(base + k + 1) e)
-                arr
-          | None -> ());
-          accept (feed_batch c arr);
-          Metrics.observe metrics ~tick:!consumed
-            ~data_state:(total_data_state c)
-            ~punct_state:(total_punct_state c)
-            ~index_state:(total_index_state c)
-            ~state_bytes:(total_state_bytes c) ~emitted:!emitted ();
-          if !consumed mod sample_every = 0 then begin
-            contract_checks ~tick:!consumed;
-            sample ~tick:!consumed
-          end
-        end
-      in
-      Seq.iter
-        (fun element ->
-          buf := element :: !buf;
-          incr nbuf;
-          if !nbuf >= b || (!consumed + !nbuf) mod sample_every = 0 then
-            feed_buffered ())
-        elements;
-      feed_buffered ());
+  let consumed =
+    Grid.drive plane
+      ~cut:(match batch with None -> 1 | Some b -> max 1 b)
+      ~feed:(fun ~base run ->
+        Telemetry.set_clock telemetry (base + Array.length run);
+        Option.iter
+          (fun ct ->
+            Array.iteri
+              (fun k e -> Contract.note_element ct ~tick:(base + k + 1) e)
+              run)
+          contract;
+        accept (walk run))
+      elements
+  in
   accept (final_flush c.root);
-  Metrics.flush metrics ~tick:!consumed ~data_state:(total_data_state c)
-    ~punct_state:(total_punct_state c)
-    ~index_state:(total_index_state c)
-    ~state_bytes:(total_state_bytes c) ~emitted:!emitted ();
-  sample ~tick:!consumed;
-  if Telemetry.enabled telemetry then
-    Telemetry.emit telemetry
-      (Obs.Event.Run_end { tick = !consumed; emitted = !emitted });
-  {
-    outputs = List.rev !outputs;
-    metrics;
-    consumed = !consumed;
-    emitted = !emitted;
-  }
+  Grid.finish plane ~tick:consumed;
+  { outputs = List.rev !outputs; metrics = Grid.metrics plane; consumed;
+    emitted = !emitted }
 
 (* An order-insensitive digest of a run's data-tuple outputs: render each
    tuple as its sorted [attr=value] pairs, sort the renderings, hash the
@@ -657,55 +480,21 @@ let output_hash outputs =
 
 (* --- report ----------------------------------------------------------- *)
 
-let series_json metrics =
-  Obs.Json.List
-    (List.map
-       (fun (s : Metrics.sample) ->
-         Obs.Json.Obj
-           [
-             ("tick", Obs.Json.Int s.tick);
-             ("data_state", Obs.Json.Int s.data_state);
-             ("punct_state", Obs.Json.Int s.punct_state);
-             ("index_state", Obs.Json.Int s.index_state);
-             ("state_bytes", Obs.Json.Int s.state_bytes);
-             ("emitted", Obs.Json.Int s.emitted);
-           ])
-       (Metrics.samples metrics))
-
 let report ?(meta = []) c (r : result) =
-  let operators =
-    List.map
-      (fun (op : Operator.t) ->
-        {
-          Obs.Report.name = op.Operator.name;
-          inputs = op.input_names;
-          unreachable_inputs = unreachable_inputs c op.Operator.name;
-          stats = Operator.stats_to_alist (op.stats ());
-          state =
-            [
-              ("data", op.data_state_size ());
-              ("puncts", op.punct_state_size ());
-              ("index", op.index_state_size ());
-              ("bytes", op.state_bytes ());
-            ];
-        })
-      c.all_ops
-  in
   let contract_meta =
     match c.cfg.Config.contract with
     | None -> []
     | Some ct -> [ ("contract", Obs.Json.Obj (Contract.meta_counters ct)) ]
   in
-  {
-    Obs.Report.meta =
-      meta
+  Grid.report
+    ~meta:
+      (meta
       @ [
           ("consumed", Obs.Json.Int r.consumed);
           ("emitted", Obs.Json.Int r.emitted);
         ]
-      @ contract_meta;
-    operators;
-    registry = Telemetry.registry c.cfg.Config.telemetry;
-    series = series_json r.metrics;
-    alarms = Telemetry.alarms c.cfg.Config.telemetry;
-  }
+      @ contract_meta)
+    ~rows:(rows c)
+    ~registry:(Telemetry.registry c.cfg.Config.telemetry)
+    ~metrics:r.metrics
+    ~alarms:(Telemetry.alarms c.cfg.Config.telemetry)

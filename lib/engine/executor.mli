@@ -123,13 +123,14 @@ type result = {
     events inside a batch share the batch-end tick.
 
     Under an enabled telemetry handle the run additionally maintains, on
-    the sampling grid, per-operator state gauges ([<op>.data_state],
-    [.punct_state], [.index_state], [.state_bytes]) and whole-process GC
-    counters ([gc_minor_words] etc., deltas of [Gc.quick_stat] between
-    samples). [exporter], when given, receives one rendered
-    {!Obs.Openmetrics} snapshot per grid point via {!Obs.Exporter.publish}
-    (requires an enabled telemetry handle; outputs, hash, metrics series
-    and event trace are identical with and without it). *)
+    the sampling grid ({!Grid}), per-operator state gauges
+    ([<op>.data_state], [.punct_state], [.index_state], [.state_bytes])
+    and GC-delta counters ([gc_minor_words] etc.). [exporter], when given,
+    receives one rendered {!Obs.Openmetrics} snapshot per grid point via
+    {!Obs.Exporter.publish} (requires an enabled telemetry handle; outputs,
+    hash, metrics series and event trace are identical with and without
+    it). A compiled contract's stall and budget checks run at every grid
+    point and once more at the end of the input. *)
 val run :
   ?sample_every:int ->
   ?batch:int ->
@@ -158,7 +159,7 @@ val total_punct_state : compiled -> int
     secondary-index entries and approximate resident bytes — the columns a
     leak diagnosis needs (an index column diverging from data is exactly
     the historical leak shape). *)
-type breakdown = {
+type breakdown = Grid.breakdown = {
   op_name : string;
   data : int;
   puncts : int;
@@ -181,10 +182,6 @@ val output_hash : Streams.Element.t list -> string
     the same renderings incrementally so a soak run can compare output
     multisets without retaining them. *)
 val render_data : Streams.Element.t -> string option
-
-(** [series_json metrics] — the metrics series as the JSON array a report
-    embeds; shared with {!Parallel_executor}'s aggregated reports. *)
-val series_json : Metrics.t -> Obs.Json.t
 
 (** [report ?meta c result] — the machine-readable run report: per-operator
     stats/state with unreachable-input diagnoses, the telemetry registry,

@@ -8,12 +8,11 @@
     [index_state] series growing away from [data_state]. Benches print
     these series and `BENCH_bounded_state.json` persists them.
 
-    Sampling contract: ticks are 1-based, and [observe] records only on
-    ticks that are multiples of [sample_every] — a run shorter than
-    [sample_every] records nothing through [observe] alone. Finish every
-    run with [flush] (as {!Executor.run} does) so the series always carries
-    a closing sample; [final] and the [peak_*] accessors are only
-    meaningful after that. *)
+    Sampling contract: ticks are 1-based, and the executors record with
+    [force] only on the sampling grid ({!Grid}) — a run shorter than its
+    sampling period has no grid point. Finish every run with [flush] (as
+    {!Grid.finish} does) so the series always carries a closing sample;
+    [final] and the [peak_*] accessors are only meaningful after that. *)
 
 type sample = {
   tick : int;  (** elements consumed so far *)
@@ -26,20 +25,9 @@ type sample = {
 
 type t
 
-val create : ?sample_every:int -> unit -> t
-
-(** [observe t ~tick ...] records a sample when [tick] falls on the
-    sampling grid (multiples of [sample_every]; ticks are 1-based). *)
-val observe :
-  t ->
-  tick:int ->
-  data_state:int ->
-  punct_state:int ->
-  ?index_state:int ->
-  ?state_bytes:int ->
-  emitted:int ->
-  unit ->
-  unit
+(** [create ()] — an empty series; the sampling grid belongs to the
+    driver ({!Grid}). *)
+val create : unit -> t
 
 (** [force t ...] records unconditionally. *)
 val force :
@@ -53,8 +41,8 @@ val force :
   unit ->
   unit
 
-(** [flush t ...] records the closing sample; a same-tick sample recorded
-    by [observe] is replaced rather than duplicated (a duplicate final
+(** [flush t ...] records the closing sample; a same-tick grid sample is
+    replaced rather than duplicated (a duplicate final
     point would bias {!growth_slope}, and the pre-flush values miss the
     effect of the final purge round). *)
 val flush :

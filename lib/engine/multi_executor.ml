@@ -252,10 +252,22 @@ type result = {
   emitted : int;
 }
 
+let rows t =
+  List.concat_map
+    (fun (_, tree) ->
+      List.map
+        (fun (op : Operator.t) ->
+          {
+            Grid.copies = [ op ];
+            unreachable = Executor.unreachable_inputs tree op.name;
+          })
+        (Executor.operators ~c:tree))
+    (all_trees t)
+
+(* Executor.run's loop with a cut of one, the DAG feed and a per-query
+   accumulator. *)
 let run ?(sample_every = 100) ?(label = "multi-run") ?exporter t elements =
   let telemetry = t.config.Executor.Config.telemetry in
-  let metrics = Metrics.create ~sample_every () in
-  let consumed = ref 0 in
   let emitted = ref 0 in
   let acc : (string, Element.t list ref * int ref) Hashtbl.t =
     Hashtbl.create 8
@@ -277,94 +289,20 @@ let run ?(sample_every = 100) ?(label = "multi-run") ?exporter t elements =
           outs)
       per_query
   in
-  let prev_snapshot = ref None in
-  let sample ~tick =
-    if Telemetry.enabled telemetry then begin
-      List.iter
-        (fun (_, tree) ->
-          List.iter
-            (fun (b : Executor.breakdown) ->
-              let set suffix v =
-                Telemetry.set_gauge ~agg:Obs.Counters.Sum telemetry
-                  (b.Executor.op_name ^ "." ^ suffix) v
-              in
-              set "data_state" b.Executor.data;
-              set "punct_state" b.Executor.puncts;
-              set "index_state" b.Executor.index;
-              set "state_bytes" b.Executor.bytes)
-            (Executor.state_breakdown tree))
-        (all_trees t);
-      Telemetry.emit telemetry
-        (Obs.Event.Sample
-           {
-             tick;
-             data_state = total_data_state t;
-             punct_state = total_punct_state t;
-             index_state = total_index_state t;
-             state_bytes = total_state_bytes t;
-             emitted = !emitted;
-           });
-      (match Telemetry.watchdog telemetry with
-      | None -> ()
-      | Some w ->
-          List.iter
-            (fun (_, tree) ->
-              List.iter
-                (fun (op : Operator.t) ->
-                  match
-                    Obs.Watchdog.observe w ~op:op.name ~tick
-                      ~size:(op.data_state_size ())
-                      ~unreachable:(Executor.unreachable_inputs tree op.name)
-                  with
-                  | None -> ()
-                  | Some (a : Obs.Watchdog.alarm) ->
-                      Telemetry.emit telemetry
-                        (Obs.Event.Alarm
-                           {
-                             tick = a.tick;
-                             op = a.op;
-                             slope = a.slope;
-                             size = a.size;
-                             unreachable = a.unreachable;
-                           }))
-                (Executor.operators ~c:tree))
-            (all_trees t));
-      match exporter with
-      | None -> ()
-      | Some ex ->
-          let snap =
-            Obs.Snapshot.capture ?prev:!prev_snapshot ~tick
-              (Telemetry.registry telemetry)
-          in
-          prev_snapshot := Some snap;
-          Obs.Exporter.publish ex (Obs.Openmetrics.render snap)
-    end
+  let plane =
+    Grid.in_process telemetry ?exporter ~sample_every ~label ~rows:(rows t)
+      ~emitted:(fun () -> !emitted)
+      ()
   in
-  if Telemetry.enabled telemetry then begin
-    Telemetry.set_clock telemetry 0;
-    Telemetry.emit telemetry (Obs.Event.Run_start { tick = 0; label })
-  end;
-  Seq.iter
-    (fun element ->
-      incr consumed;
-      Telemetry.set_clock telemetry !consumed;
-      accept (feed_element t element);
-      Metrics.observe metrics ~tick:!consumed
-        ~data_state:(total_data_state t)
-        ~punct_state:(total_punct_state t)
-        ~index_state:(total_index_state t)
-        ~state_bytes:(total_state_bytes t) ~emitted:!emitted ();
-      if !consumed mod sample_every = 0 then sample ~tick:!consumed)
-    elements;
+  let consumed =
+    Grid.drive plane ~cut:1
+      ~feed:(fun ~base run ->
+        Telemetry.set_clock telemetry (base + 1);
+        accept (feed_element t run.(0)))
+      elements
+  in
   accept (flush t);
-  Metrics.flush metrics ~tick:!consumed ~data_state:(total_data_state t)
-    ~punct_state:(total_punct_state t)
-    ~index_state:(total_index_state t)
-    ~state_bytes:(total_state_bytes t) ~emitted:!emitted ();
-  sample ~tick:!consumed;
-  if Telemetry.enabled telemetry then
-    Telemetry.emit telemetry
-      (Obs.Event.Run_end { tick = !consumed; emitted = !emitted });
+  Grid.finish plane ~tick:consumed;
   let per_query =
     List.map
       (fun u ->
@@ -378,33 +316,11 @@ let run ?(sample_every = 100) ?(label = "multi-run") ?exporter t elements =
           } ))
       t.qunits
   in
-  { per_query; metrics; consumed = !consumed; emitted = !emitted }
+  { per_query; metrics = Grid.metrics plane; consumed; emitted = !emitted }
 
 (* --- report ------------------------------------------------------------ *)
 
 let report ?(meta = []) t (r : result) =
-  let operators =
-    List.concat_map
-      (fun (_, tree) ->
-        List.map
-          (fun (op : Operator.t) ->
-            {
-              Obs.Report.name = op.Operator.name;
-              inputs = op.input_names;
-              unreachable_inputs =
-                Executor.unreachable_inputs tree op.Operator.name;
-              stats = Operator.stats_to_alist (op.stats ());
-              state =
-                [
-                  ("data", op.data_state_size ());
-                  ("puncts", op.punct_state_size ());
-                  ("index", op.index_state_size ());
-                  ("bytes", op.state_bytes ());
-                ];
-            })
-          (Executor.operators ~c:tree))
-      (all_trees t)
-  in
   let queries_meta =
     Obs.Json.List
       (List.map
@@ -431,20 +347,17 @@ let report ?(meta = []) t (r : result) =
          t.groups)
   in
   let telemetry = t.config.Executor.Config.telemetry in
-  {
-    Obs.Report.meta =
-      meta
+  Grid.report
+    ~meta:
+      (meta
       @ [
           ("consumed", Obs.Json.Int r.consumed);
           ("emitted", Obs.Json.Int r.emitted);
           ("queries", queries_meta);
           ("shared_groups", groups_meta);
-        ];
-    operators;
-    registry = Telemetry.registry telemetry;
-    series = Executor.series_json r.metrics;
-    alarms = Telemetry.alarms telemetry;
-  }
+        ])
+    ~rows:(rows t) ~registry:(Telemetry.registry telemetry)
+    ~metrics:r.metrics ~alarms:(Telemetry.alarms telemetry)
 
 (* --- sharded driving --------------------------------------------------- *)
 

@@ -74,12 +74,9 @@ type result = {
 }
 
 (** [run ?sample_every ?label ?exporter t elements] — drive the DAG from
-    one interleaved sequence, mirroring {!Executor.run}: elements of
-    streams no query reads are ignored but still counted as ticks, state
-    is sampled on the [sample_every] grid (telemetry [Sample] events,
-    per-operator gauges, watchdog feeding, exporter snapshots), and
-    [Run_start]/[Run_end] frame the trace. Shared state is counted once
-    in every total. *)
+    one interleaved sequence with {!Executor.run}'s loop and {!Grid}
+    plane: elements of streams no query reads are ignored but still
+    counted as ticks. Shared state is counted once in every total. *)
 val run :
   ?sample_every:int ->
   ?label:string ->

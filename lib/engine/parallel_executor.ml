@@ -91,7 +91,6 @@ type t = {
   checkpoint : Checkpoint.config option;
   resume : Checkpoint.t option;
   mutable restarts_log : restart list;  (* newest first *)
-  contract_config : Contract.config option;
   driver_contract : Contract.t option;
       (* stall tracking lives with the driver, which sees the whole input;
          per-shard contracts (inside [shards]) handle late data and hold
@@ -269,7 +268,6 @@ let create ?(config = Executor.Config.default) ?watchdog
     checkpoint;
     resume;
     restarts_log = [];
-    contract_config;
     driver_contract;
     mk_tel;
     mk_contract;
@@ -418,23 +416,21 @@ let total_state_bytes t = sum_over t Executor.total_state_bytes
 let shard_breakdowns t =
   Array.map (fun s -> Executor.state_breakdown s.compiled) t.shards
 
-let state_breakdown t =
-  let per = shard_breakdowns t in
+(* One row per plan operator, in the sequential order, holding its copy
+   on every shard. *)
+let rows t =
+  let c0 = t.shards.(0).compiled in
   List.mapi
-    (fun i (b0 : Executor.breakdown) ->
-      Array.fold_left
-        (fun (acc : Executor.breakdown) bl ->
-          let b : Executor.breakdown = List.nth bl i in
-          {
-            acc with
-            Executor.data = acc.Executor.data + b.Executor.data;
-            puncts = acc.Executor.puncts + b.Executor.puncts;
-            index = acc.Executor.index + b.Executor.index;
-            bytes = acc.Executor.bytes + b.Executor.bytes;
-          })
-        { b0 with Executor.data = 0; puncts = 0; index = 0; bytes = 0 }
-        per)
-    per.(0)
+    (fun i (op0 : Operator.t) ->
+      {
+        Grid.copies =
+          Array.to_list t.shards
+          |> List.map (fun s -> List.nth (Executor.operators ~c:s.compiled) i);
+        unreachable = Executor.unreachable_inputs c0 op0.Operator.name;
+      })
+    (Executor.operators ~c:c0)
+
+let state_breakdown t = List.map Grid.breakdown (rows t)
 
 let alarms t =
   match t.watchdog with Some w -> Obs.Watchdog.alarms w | None -> []
@@ -459,6 +455,16 @@ let merged_registry t =
   Obs.Registry.merged
     (t.driver_reg :: (Array.to_list t.shards |> List.map shard_registry_view))
 
+(* Every shard's recorded outputs in deterministic merge order: (global
+   seq, shard, emission rank). *)
+let merged_outputs t =
+  Array.to_list t.shards
+  |> List.concat_map (fun s ->
+         List.rev_map (fun (seq, rank, el) -> (seq, s.index, rank, el))
+           s.outputs)
+  |> List.sort (fun (s1, h1, r1, _) (s2, h2, r2, _) ->
+         compare (s1, h1, r1) (s2, h2, r2))
+
 let run ?(sample_every = 100) ?(label = "run") ?exporter ?on_commit t elements
     =
   if t.ran then
@@ -472,11 +478,56 @@ let run ?(sample_every = 100) ?(label = "run") ?exporter ?on_commit t elements
   | _ -> ());
   widen_minor_arena ~shards:(Array.length t.shards);
   let n = Array.length t.shards in
-  let metrics = Metrics.create ~sample_every () in
   let emit_driver e =
     if t.instrument then t.driver_events <- e :: t.driver_events
   in
-  emit_driver (Obs.Event.Run_start { tick = 0; label });
+  let emitted_total () =
+    Array.fold_left (fun acc (s : shard) -> acc + s.emitted) 0 t.shards
+  in
+  (* The grid plane reads the quiesced fleet: state summed across shards
+     under the sequential operator names (so an unsafe plan trips the same
+     alarms at the same ticks), gauges and driver-domain GC deltas into the
+     run-spanning driver registry, exporter snapshots of the merged one.
+     Stalls are tracked on the driver contract, which sees the whole
+     input; each shard's contract enforces its slice of the budget. *)
+  let plane =
+    Grid.create ~sample_every ?exporter ~label
+      {
+        Grid.rows = (fun () -> rows t);
+        emitted = emitted_total;
+        emit = (if t.instrument then Some emit_driver else None);
+        registry = t.driver_reg;
+        exported = (fun () -> merged_registry t);
+        watchdog = t.watchdog;
+        contract = t.driver_contract;
+        budgets =
+          (fun () ->
+            Array.to_list t.shards
+            |> List.filter_map (fun (s : shard) ->
+                   Option.map
+                     (fun ct ->
+                       ( ct,
+                         s.tel,
+                         fun () -> Executor.total_state_bytes s.compiled ))
+                     s.contract));
+        (* The watchdog must not see the replay log's raw saw-tooth (its
+           slope detector would flag the healthy between-cut climb), so it
+           watches the log's excess over one checkpoint interval —
+           identically zero while cuts keep truncating, climbing
+           monotonically the moment they stall. *)
+        extra =
+          (fun () ->
+            match t.checkpoint with
+            | None -> []
+            | Some cfg ->
+                [
+                  ( "replay_history",
+                    max 0
+                      (history_elems t - (cfg.Checkpoint.every * sample_every))
+                  );
+                ]);
+      }
+  in
   Array.iter
     (fun s -> s.domain <- Some (Domain.spawn (fun () -> worker t s)))
     t.shards;
@@ -724,15 +775,7 @@ let run ?(sample_every = 100) ?(label = "run") ?exporter ?on_commit t elements
     | Some cfg ->
         let t0 = Unix.gettimeofday () in
         let shards_snap = Array.map snapshot_shard t.shards in
-        let chunk =
-          Array.to_list t.shards
-          |> List.concat_map (fun s ->
-                 List.rev_map
-                   (fun (seq, rank, el) -> (seq, s.index, rank, el))
-                   s.outputs)
-          |> List.sort (fun (s1, h1, r1, _) (s2, h2, r2, _) ->
-                 compare (s1, h1, r1) (s2, h2, r2))
-        in
+        let chunk = merged_outputs t in
         Array.iter (fun (s : shard) -> s.outputs <- []) t.shards;
         commit_chunk chunk;
         Array.iteri
@@ -783,48 +826,6 @@ let run ?(sample_every = 100) ?(label = "run") ?exporter ?on_commit t elements
                  int_of_float ((Unix.gettimeofday () -. t0) *. 1e9);
              })
   in
-  let emitted_total () =
-    Array.fold_left (fun acc (s : shard) -> acc + s.emitted) 0 t.shards
-  in
-  (* Mirror of Executor.run's [sample]: one global Sample event, then one
-     watchdog observation per operator with its state summed across
-     shards under the sequential operator names — so an unsafe plan trips
-     the same alarms at the same ticks. Callable only while quiescent. *)
-  let sample_and_watch ~tick =
-    if t.instrument then
-      emit_driver
-        (Obs.Event.Sample
-           {
-             tick;
-             data_state = total_data_state t;
-             punct_state = total_punct_state t;
-             index_state = total_index_state t;
-             state_bytes = total_state_bytes t;
-             emitted = emitted_total ();
-           });
-    match t.watchdog with
-    | None -> ()
-    | Some w ->
-        List.iter
-          (fun (b : Executor.breakdown) ->
-            match
-              Obs.Watchdog.observe w ~op:b.op_name ~tick ~size:b.data
-                ~unreachable:
-                  (Executor.unreachable_inputs t.shards.(0).compiled b.op_name)
-            with
-            | None -> ()
-            | Some (a : Obs.Watchdog.alarm) ->
-                emit_driver
-                  (Obs.Event.Alarm
-                     {
-                       tick = a.tick;
-                       op = a.op;
-                       slope = a.slope;
-                       size = a.size;
-                       unreachable = a.unreachable;
-                     }))
-          (state_breakdown t)
-  in
   (* Replay-log accounting, only when checkpointing is armed (the gauges
      would otherwise break sequential/sharded metric-family parity). The
      gauges are set at every grid point, so a scrape sees the healthy
@@ -838,126 +839,12 @@ let run ?(sample_every = 100) ?(label = "run") ?exporter ?on_commit t elements
         Obs.Registry.set_gauge ~agg:Obs.Counters.Sum t.driver_reg
           "history_bytes" (history_bytes t)
   in
-  (* The watchdog must not see the raw saw-tooth (its slope detector
-     would flag the healthy between-cut climb), so it watches the log's
-     *excess over one checkpoint interval* — identically zero while cuts
-     keep truncating, climbing monotonically the moment they stall. *)
-  let watch_history ~interval ~tick =
-    match t.watchdog with
-    | None -> ()
-    | Some w -> (
-        match
-          Obs.Watchdog.observe w ~op:"replay_history" ~tick
-            ~size:(max 0 (history_elems t - interval))
-            ~unreachable:[]
-        with
-        | None -> ()
-        | Some (a : Obs.Watchdog.alarm) ->
-            emit_driver
-              (Obs.Event.Alarm
-                 {
-                   tick = a.tick;
-                   op = a.op;
-                   slope = a.slope;
-                   size = a.size;
-                   unreachable = a.unreachable;
-                 }))
-  in
-  (* Contract checks on the barrier grid, mirroring Executor.run's: the
-     driver (which sees the whole input) checks punctuation-progress
-     stalls; each shard's contract enforces its slice of the state budget.
-     Workers are parked, so reading and shedding their state is safe. *)
-  let contract_checks ~tick =
-    (match t.driver_contract with
-    | Some ct ->
-        ignore
-          (Contract.check_stalls ct ~emit:emit_driver ?watchdog:t.watchdog
-             ~tick ())
-    | None -> ());
-    Array.iter
-      (fun (s : shard) ->
-        match s.contract with
-        | Some ct ->
-            ignore
-              (Contract.enforce_budget ct ~telemetry:s.tel ~tick
-                 ~bytes_now:(fun () -> Executor.total_state_bytes s.compiled)
-                 ())
-        | None -> ())
-      t.shards
-  in
-  (* Live observability at the quiesced grid points (workers parked, so
-     reading shard state and registries is safe): per-shard per-operator
-     state gauges — Sum-merged, so the fleet total is what a scrape sees —
-     driver-side GC deltas into the run-spanning driver registry, and (with
-     an exporter) one rendered snapshot of the merged registry published to
-     the endpoint. Same registry entries as the sequential plane, so a
-     [--shards n] scrape exposes the same series names. *)
-  let prev_snapshot = ref None in
-  let prev_gc = ref (Gc.quick_stat ()) in
-  let observe_plane ~tick =
-    if t.instrument then begin
-      Array.iter
-        (fun (s : shard) ->
-          List.iter
-            (fun (b : Executor.breakdown) ->
-              let set suffix v =
-                Telemetry.set_gauge ~agg:Obs.Counters.Sum s.tel
-                  (b.Executor.op_name ^ "." ^ suffix) v
-              in
-              set "data_state" b.Executor.data;
-              set "punct_state" b.Executor.puncts;
-              set "index_state" b.Executor.index;
-              set "state_bytes" b.Executor.bytes)
-            (Executor.state_breakdown s.compiled))
-        t.shards;
-      (* Driver-domain GC only: in OCaml 5 [Gc.quick_stat] reads the
-         calling domain's allocation counters, and the workers are parked —
-         this tracks the orchestration side's churn, labelled identically
-         to the sequential counters so dashboards need one query. *)
-      let s = Gc.quick_stat () in
-      let p = !prev_gc in
-      prev_gc := s;
-      let dw f = max 0 (int_of_float (f s -. f p)) in
-      let di f = max 0 (f s - f p) in
-      Obs.Registry.incr ~by:(dw (fun (g : Gc.stat) -> g.minor_words))
-        t.driver_reg "gc_minor_words";
-      Obs.Registry.incr ~by:(dw (fun (g : Gc.stat) -> g.promoted_words))
-        t.driver_reg "gc_promoted_words";
-      Obs.Registry.incr ~by:(dw (fun (g : Gc.stat) -> g.major_words))
-        t.driver_reg "gc_major_words";
-      Obs.Registry.incr ~by:(di (fun (g : Gc.stat) -> g.minor_collections))
-        t.driver_reg "gc_minor_collections";
-      Obs.Registry.incr ~by:(di (fun (g : Gc.stat) -> g.major_collections))
-        t.driver_reg "gc_major_collections";
-      Obs.Registry.incr ~by:(di (fun (g : Gc.stat) -> g.compactions))
-        t.driver_reg "gc_compactions";
-      Obs.Registry.set_gauge ~agg:Obs.Counters.Sum t.driver_reg
-        "gc_heap_words" s.heap_words
-    end;
-    match exporter with
-    | None -> ()
-    | Some ex ->
-        let snap =
-          Obs.Snapshot.capture ?prev:!prev_snapshot ~tick (merged_registry t)
-        in
-        prev_snapshot := Some snap;
-        Obs.Exporter.publish ex (Obs.Openmetrics.render snap)
-  in
-  let observe_metrics
-      (record :
-        Metrics.t ->
-        tick:int ->
-        data_state:int ->
-        punct_state:int ->
-        ?index_state:int ->
-        ?state_bytes:int ->
-        emitted:int ->
-        unit ->
-        unit) ~tick =
-    record metrics ~tick ~data_state:(total_data_state t)
-      ~punct_state:(total_punct_state t)
-      ~index_state:(total_index_state t)
-      ~state_bytes:(total_state_bytes t) ~emitted:(emitted_total ()) ()
+  let cut ~tick () =
+    incr grid;
+    (match t.checkpoint with
+    | Some cfg when !grid mod cfg.Checkpoint.every = 0 -> take_checkpoint ~tick
+    | _ -> ());
+    observe_history ()
   in
   let body () =
     Seq.iter
@@ -975,20 +862,7 @@ let run ?(sample_every = 100) ?(label = "run") ?exporter ?on_commit t elements
             done);
         if !consumed mod sample_every = 0 then begin
           quiesce ();
-          observe_metrics Metrics.observe ~tick:!consumed;
-          contract_checks ~tick:!consumed;
-          sample_and_watch ~tick:!consumed;
-          incr grid;
-          (match t.checkpoint with
-          | Some cfg ->
-              if !grid mod cfg.Checkpoint.every = 0 then
-                take_checkpoint ~tick:!consumed;
-              watch_history
-                ~interval:(cfg.Checkpoint.every * sample_every)
-                ~tick:!consumed
-          | None -> ());
-          observe_history ();
-          observe_plane ~tick:!consumed;
+          Grid.point plane ~cut:(cut ~tick:seq) ~tick:seq;
           release ()
         end)
       elements;
@@ -1022,25 +896,13 @@ let run ?(sample_every = 100) ?(label = "run") ?exporter ?on_commit t elements
         torn down before the exception escapes. *)
      abort_all ();
      raise e);
-  observe_metrics Metrics.flush ~tick:!consumed;
-  contract_checks ~tick:!consumed;
-  sample_and_watch ~tick:!consumed;
   observe_history ();
-  observe_plane ~tick:!consumed;
-  emit_driver (Obs.Event.Run_end { tick = !consumed; emitted = emitted_total () });
+  Grid.finish plane ~tick:!consumed;
   (* Committed chunks (one per checkpoint, ascending within and across
      chunks — every pre-cut batch was drained at its cut) precede the
      still-live tail, which holds only post-cut sequence numbers. *)
-  let live_outputs =
-    Array.to_list t.shards
-    |> List.concat_map (fun s ->
-           List.rev_map (fun (seq, rank, el) -> (seq, s.index, rank, el))
-             s.outputs)
-    |> List.sort (fun (s1, h1, r1, _) (s2, h2, r2, _) ->
-           compare (s1, h1, r1) (s2, h2, r2))
-  in
   let outputs =
-    List.concat (List.rev (live_outputs :: !committed))
+    List.concat (List.rev (merged_outputs t :: !committed))
     |> List.map (fun (_, _, _, el) -> el)
   in
   if t.instrument then begin
@@ -1068,90 +930,41 @@ let run ?(sample_every = 100) ?(label = "run") ?exporter ?on_commit t elements
       |> List.map (fun (_, _, _, tag, e) -> (tag, e))
   end;
   Array.iter (fun s -> Telemetry.close s.tel) t.shards;
-  { outputs; metrics; consumed = !consumed; emitted = emitted_total () }
+  { outputs; metrics = Grid.metrics plane; consumed = !consumed;
+    emitted = emitted_total () }
 
 let report ?(meta = []) t (r : result) =
-  let c0 = t.shards.(0).compiled in
-  let per_shard_ops =
-    Array.map (fun s -> Executor.operators ~c:s.compiled) t.shards
-  in
-  let sum_alists alists =
-    match alists with
-    | [] -> []
-    | first :: rest ->
-        List.fold_left
-          (fun acc alist -> List.map2 (fun (k, v) (_, v') -> (k, v + v')) acc alist)
-          first rest
-  in
-  let operators =
-    List.mapi
-      (fun i (op0 : Operator.t) ->
-        let nth_op ops : Operator.t = List.nth ops i in
-        let stats =
-          Array.to_list per_shard_ops
-          |> List.map (fun ops ->
-                 Operator.stats_to_alist ((nth_op ops).Operator.stats ()))
-          |> sum_alists
-        in
-        let sum_state f =
-          Array.fold_left (fun acc ops -> acc + f (nth_op ops)) 0 per_shard_ops
-        in
-        {
-          Obs.Report.name = op0.Operator.name;
-          inputs = op0.Operator.input_names;
-          unreachable_inputs =
-            Executor.unreachable_inputs c0 op0.Operator.name;
-          stats;
-          state =
-            [
-              ("data", sum_state (fun op -> op.Operator.data_state_size ()));
-              ("puncts", sum_state (fun op -> op.Operator.punct_state_size ()));
-              ("index", sum_state (fun op -> op.Operator.index_state_size ()));
-              ("bytes", sum_state (fun op -> op.Operator.state_bytes ()));
-            ];
-        })
-      (Executor.operators ~c:c0)
-  in
+  (* The driver contract counts the stalls, the shard contracts everything
+     else; each leaves the other's counters at zero, so they add. *)
   let contract_meta =
-    match t.contract_config with
+    match t.driver_contract with
     | None -> []
-    | Some _ ->
-        let sum f =
-          Array.fold_left
-            (fun acc s ->
-              acc + match s.contract with Some c -> f c | None -> 0)
-            0 t.shards
+    | Some d ->
+        let all =
+          List.map Contract.meta_counters
+            (d :: List.filter_map (fun s -> s.contract) (Array.to_list t.shards))
         in
-        let stalls =
-          match t.driver_contract with
-          | Some c -> Contract.stall_count c
-          | None -> 0
+        let sum k =
+          List.fold_left
+            (fun acc m ->
+              acc + Option.value ~default:0 (Obs.Json.to_int (List.assoc k m)))
+            0 all
         in
         [
           ( "contract",
             Obs.Json.Obj
-              [
-                ("late_tuples", Obs.Json.Int (sum Contract.late_count));
-                ("dup_puncts", Obs.Json.Int (sum Contract.dup_count));
-                ("punct_stalls", Obs.Json.Int stalls);
-                ("quarantined", Obs.Json.Int (sum Contract.quarantined_count));
-                ( "quarantine_overflow",
-                  Obs.Json.Int (sum Contract.quarantine_overflow) );
-                ("shed_tuples", Obs.Json.Int (sum Contract.shed_count));
-              ] );
+              (List.map (fun (k, _) -> (k, Obs.Json.Int (sum k))) (List.hd all))
+          );
         ]
   in
-  {
-    Obs.Report.meta =
-      (("shards", Obs.Json.Int (n_shards t)) :: meta)
+  Grid.report
+    ~meta:
+      ((("shards", Obs.Json.Int (n_shards t)) :: meta)
       @ [
           ("consumed", Obs.Json.Int r.consumed);
           ("emitted", Obs.Json.Int r.emitted);
           ("shard_crashes", Obs.Json.Int (crash_count t));
         ]
-      @ contract_meta;
-    operators;
-    registry = merged_registry t;
-    series = Executor.series_json r.metrics;
-    alarms = alarms t;
-  }
+      @ contract_meta)
+    ~rows:(rows t) ~registry:(merged_registry t) ~metrics:r.metrics
+    ~alarms:(alarms t)

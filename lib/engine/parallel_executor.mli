@@ -161,15 +161,10 @@ type result = {
     worker domains to completion and joins them. Ticks count every input
     element (as {!Executor.run} does), and sampling happens at global
     barriers on the [sample_every] grid: the driver quiesces all shards,
-    reads their state, feeds metrics, the watchdog and the contract
-    checks, then releases them.
-
-    Under [instrument] the quiesced grid points also maintain the live
-    observability plane: per-shard per-operator state gauges (Sum-merged
-    across shards) and driver-side GC-delta counters. [exporter], when
-    given, receives one rendered {!Obs.Openmetrics} snapshot of the merged
-    registry per grid point — the same series names a sequential run
-    exports.
+    runs the shared {!Grid} point over their summed state (gauges and GC
+    deltas go to the driver registry under [instrument]; [exporter] gets
+    the merged registry — the same series names a sequential run
+    exports), then releases them.
 
     [on_commit], with checkpointing armed, streams each cut's committed
     outputs to the caller instead of retaining them (the soak harness

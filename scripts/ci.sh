@@ -393,6 +393,19 @@ for mode in mq_noshare mq_shards; do
   fi
 done
 
+# Flags multi-query mode cannot honour are refused, not dropped: the
+# sharded multi-query driver has no telemetry, so --report must exit 1
+# without writing a report.
+set +e
+dune exec bin/pstream_run.exe -- $MQ_ARGS --shards 2 \
+  --report "$OBS_TMP/mq_sh_report.json" > /dev/null 2>&1
+status=$?
+set -e
+if [ "$status" -ne 1 ] || [ -e "$OBS_TMP/mq_sh_report.json" ]; then
+  echo "expected --query ... --shards 2 --report to be refused with exit 1, got $status" >&2
+  exit 1
+fi
+
 echo "== multi-query benchmark (B4 -> BENCH_multi_query.json) =="
 # B4 asserts hash equality and a strict shared-state win internally; the
 # gate below re-checks the overlap scenario from the artifact so a stale
@@ -436,9 +449,15 @@ REPO_ROOT="$(pwd)"
 dune exec bin/pstream_obs.exe -- soakcheck "$OBS_TMP/BENCH_soak.json" \
   --expect-kills 8
 
-echo "== throughput regression gate (bench_diff vs HEAD) =="
+echo "== throughput regression gate (benchcheck vs HEAD) =="
 # Hard gate: any scenario losing more than 30% batched throughput
-# against the tracked baseline fails CI.
-scripts/bench_diff.sh
+# against the tracked baseline fails CI, and so does a malformed artifact.
+if git show HEAD:BENCH_hot_path.json > "$OBS_TMP/hot_path_head.json" 2>/dev/null
+then
+  dune exec bin/pstream_obs.exe -- benchcheck BENCH_hot_path.json \
+    "$OBS_TMP/hot_path_head.json"
+else
+  echo "NOTE: no tracked BENCH_hot_path.json at HEAD; nothing to compare against." >&2
+fi
 
 echo "CI OK"

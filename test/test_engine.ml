@@ -229,38 +229,42 @@ let test_purge_policy_due () =
   check_bool "adaptive needs a punctuation" false (due adaptive ~pending:0 ~state:600)
 
 let test_metrics_series_and_slope () =
-  let m = Metrics.create ~sample_every:1 () in
+  let m = Metrics.create () in
   List.iteri
     (fun i st -> Metrics.force m ~tick:i ~data_state:st ~punct_state:0 ~emitted:0 ())
     [ 0; 10; 20; 30; 40; 50 ];
   check_int "peak" 50 (Metrics.peak_data_state m);
   check_bool "positive slope" true (Metrics.growth_slope m > 5.0);
-  let flat = Metrics.create ~sample_every:1 () in
+  let flat = Metrics.create () in
   List.iter
     (fun i -> Metrics.force flat ~tick:i ~data_state:7 ~punct_state:0 ~emitted:0 ())
     [ 0; 1; 2; 3 ];
   check_bool "flat slope" true (Float.abs (Metrics.growth_slope flat) < 0.01)
 
-(* Ticks are 1-based, so a run shorter than sample_every records nothing
-   through observe; flush must land the closing sample exactly once. *)
+(* Ticks are 1-based, so a run shorter than sample_every has no grid
+   point; flush must land the closing sample exactly once. *)
 let test_metrics_flush_contract () =
-  let m = Metrics.create ~sample_every:100 () in
-  for tick = 1 to 5 do
-    Metrics.observe m ~tick ~data_state:tick ~punct_state:0 ~index_state:tick
-      ~emitted:0 ()
-  done;
-  check_int "short run: observe records nothing" 0
-    (List.length (Metrics.samples m));
+  let q = fig5_query () in
+  let c = Executor.compile q (Query.Plan.mjoin [ "S1"; "S2"; "S3" ]) in
+  let short =
+    Workload.Synth.round_trace q
+      { Workload.Synth.default_trace_config with rounds = 2 }
+    |> List.filteri (fun i _ -> i < 5)
+  in
+  let r = Executor.run ~sample_every:100 c (List.to_seq short) in
+  (match Metrics.samples r.Executor.metrics with
+  | [ s ] -> check_int "short run: one closing sample at the last tick" 5 s.Metrics.tick
+  | l -> Alcotest.failf "short run: expected 1 sample, got %d" (List.length l));
+  let m = Metrics.create () in
+  check_int "fresh series is empty" 0 (List.length (Metrics.samples m));
   Metrics.flush m ~tick:5 ~data_state:5 ~punct_state:0 ~index_state:5
     ~emitted:0 ();
   check_int "flush lands the final sample" 1 (List.length (Metrics.samples m));
   check_int "peak visible" 5 (Metrics.peak_data_state m);
   check_int "index peak visible" 5 (Metrics.peak_index_state m);
   (* a run length on the grid: flush replaces, never duplicates *)
-  let g = Metrics.create ~sample_every:5 () in
-  for tick = 1 to 5 do
-    Metrics.observe g ~tick ~data_state:10 ~punct_state:0 ~emitted:0 ()
-  done;
+  let g = Metrics.create () in
+  Metrics.force g ~tick:5 ~data_state:10 ~punct_state:0 ~emitted:0 ();
   Metrics.flush g ~tick:5 ~data_state:0 ~punct_state:0 ~emitted:0 ();
   check_int "no duplicate final point" 1 (List.length (Metrics.samples g));
   (match Metrics.final g with

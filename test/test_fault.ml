@@ -185,7 +185,47 @@ let test_stall_detection_latches_watchdog () =
   check_bool "watchdog alarm latched" true
     (List.exists
        (fun (a : Obs.Watchdog.alarm) -> a.Obs.Watchdog.op = "contract:S1")
-       (Telemetry.alarms telemetry))
+       (Telemetry.alarms telemetry));
+  (* A stall that outlasts its grace only after the last grid point: both
+     drivers check the contract once more at the end of the input, so the
+     sequential and the sharded run declare it alike. *)
+  let every = 50 in
+  let full = round_trace ~rounds:80 q in
+  let g = every * ((List.length full - 1) / every) in
+  let trace =
+    List.filteri
+      (fun i e ->
+        i < g + (every / 2)
+        && not (Element.is_punct e && Element.stream_name e = "S1" && i >= g - 20))
+      full
+  in
+  let g = every * (List.length trace / every) in
+  let last_s1 =
+    List.fold_left max 0
+      (List.mapi
+         (fun i e ->
+           if Element.is_punct e && Element.stream_name e = "S1" then i + 1
+           else 0)
+         trace)
+  in
+  let grace = g - last_s1 in
+  check_bool "stall outlasts the grace only after the last grid point" true
+    (List.length trace mod every <> 0 && List.length trace - last_s1 > grace);
+  let ct, _, _, _ = run_with_contract ~grace q trace in
+  let pe =
+    Parallel_executor.create ~shards:2
+      ~contract_config:{ Contract.default_config with Contract.grace = Some grace }
+      q plan3
+  in
+  let pr = Parallel_executor.run ~sample_every:every pe (List.to_seq trace) in
+  let sharded_stalls =
+    match List.assoc "contract" (Parallel_executor.report pe pr).Obs.Report.meta with
+    | Obs.Json.Obj kv -> List.assoc "punct_stalls" kv
+    | _ -> Alcotest.fail "contract meta missing"
+  in
+  check_int "end-of-run stall declared sequentially" 1 (Contract.stall_count ct);
+  check_bool "sequential and sharded stall counts agree" true
+    (sharded_stalls = Obs.Json.Int (Contract.stall_count ct))
 
 let test_degrade_budget_sheds_state () =
   (* Under Never the engine hoards every tuple; a byte budget under

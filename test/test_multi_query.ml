@@ -432,7 +432,31 @@ let test_shared_run_trace_verifies () =
   in
   List.iter
     (fun owner -> check_bool ("query label " ^ owner) true (has_query owner))
-    [ "shared:G1"; "q1"; "q2" ]
+    [ "shared:G1"; "q1"; "q2" ];
+  (* One grid plane: the multi-query run exports the same gc_* counter and
+     gauge families as a sequential run of one of its queries. *)
+  let gc_names reg =
+    let gc alist =
+      List.filter
+        (fun k -> String.length k > 3 && String.sub k 0 3 = "gc_")
+        (List.map fst alist)
+    in
+    let counters = Obs.Registry.counters reg in
+    (gc (Obs.Counters.to_alist counters), gc (Obs.Counters.gauges_to_alist counters))
+  in
+  let seq_telemetry = Telemetry.create () in
+  let c =
+    Executor.compile
+      ~config:(Executor.Config.make ~telemetry:seq_telemetry ())
+      (star_q1 ()) (Plan.mjoin [ "R"; "S"; "T" ])
+  in
+  ignore (Executor.run ~sample_every:25 c (List.to_seq trace));
+  let seq_counters, seq_gauges = gc_names (Telemetry.registry seq_telemetry) in
+  let multi_counters, multi_gauges = gc_names (Telemetry.registry telemetry) in
+  check_bool "sequential run exports gc_* families" true
+    (seq_counters <> [] && seq_gauges <> []);
+  Alcotest.(check (list string)) "same gc_* counters" seq_counters multi_counters;
+  Alcotest.(check (list string)) "same gc_* gauges" seq_gauges multi_gauges
 
 (* ------------------------------------------------------------------ *)
 (* Sharded driver guardrails *)

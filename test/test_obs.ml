@@ -244,7 +244,7 @@ let test_sink_tee () =
 (* Metrics degenerate slopes (satellite: all-same-tick guard) *)
 
 let test_metrics_degenerate_slopes () =
-  let m = Metrics.create ~sample_every:10 () in
+  let m = Metrics.create () in
   check_bool "no samples" true (Metrics.growth_slope m = 0.0);
   Metrics.force m ~tick:10 ~data_state:5 ~punct_state:0 ~emitted:0 ();
   check_bool "one sample" true (Metrics.growth_slope m = 0.0);

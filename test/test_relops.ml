@@ -9,6 +9,7 @@ module Scheme = Streams.Scheme
 module Select = Engine.Select
 module Dedup = Engine.Dedup
 module Sort = Engine.Sort
+module Outer_join = Engine.Outer_join
 open Fixtures
 
 let vi i = Value.Int i
@@ -270,10 +271,16 @@ let test_union_watermark_min_rule () =
 (* ------------------------------------------------------------------ *)
 (* Antijoin *)
 
+(* The anti semi-join is Outer_join with Anti semantics. *)
+let anti_over ~left ~right ~predicates =
+  let side schema =
+    { Outer_join.name = Schema.stream_name schema; schema; schemes = [] }
+  in
+  Outer_join.create ~name:"antijoin" ~semantics:Outer_join.Anti
+    ~left:(side left) ~right:(side right) ~predicates ()
+
 let anti () =
-  Engine.Antijoin.create ~left:s1 ~right:s2
-    ~predicates:[ Predicate.atom "S1" "B" "S2" "B" ]
-    ()
+  anti_over ~left:s1 ~right:s2 ~predicates:[ Predicate.atom "S1" "B" "S2" "B" ]
 
 let test_antijoin_blocks_without_punctuation () =
   let op = anti () in
@@ -335,10 +342,9 @@ let test_antijoin_auction_unsold_items () =
   let cfg = { Workload.Auction.default_config with n_items = 60; bids_per_item = 3 } in
   let trace = Workload.Auction.trace cfg in
   let op =
-    Engine.Antijoin.create ~left:Workload.Auction.item_schema
+    anti_over ~left:Workload.Auction.item_schema
       ~right:Workload.Auction.bid_schema
       ~predicates:[ Predicate.atom "item" "itemid" "bid" "itemid" ]
-      ()
   in
   let unsold = ref 0 in
   List.iter
@@ -353,22 +359,46 @@ let test_antijoin_auction_unsold_items () =
     (op.Engine.Operator.data_state_size () <= 1)
 
 (* ------------------------------------------------------------------ *)
-(* Pipeline composition *)
+(* Operator chaining: unary operators behind one another, each consuming
+   the previous stage's output elements; a stage reads the previous one
+   only when the stream names line up. *)
+
+let chain_push stages e =
+  List.fold_left
+    (fun acc (stage : Engine.Operator.t) ->
+      List.concat_map stage.Engine.Operator.push acc)
+    [ e ] stages
+
+(* flush each stage in order, pushing its drain through the rest *)
+let chain_flush stages =
+  List.fold_left
+    (fun upstream (stage : Engine.Operator.t) ->
+      List.concat_map stage.Engine.Operator.push upstream
+      @ stage.Engine.Operator.flush ())
+    [] stages
+
+let reads_from (prev : Engine.Operator.t) (next : Engine.Operator.t) =
+  List.mem
+    (Schema.stream_name prev.Engine.Operator.out_schema)
+    next.Engine.Operator.input_names
 
 let test_pipeline_select_dedup_sort () =
-  let pipeline =
-    Engine.Pipeline.compose
-      [
-        Select.create ~name:"S1" ~input:s1
-          ~conditions:[ { Select.attr = "A"; op = Select.Gt; value = vi 0 } ]
-          ();
-        Dedup.create ~name:"S1d" ~input:s1 ~key:[ "B" ] ();
-        Sort.create ~input:s1 ~by:"B" ();
-      ]
+  let stages =
+    [
+      Select.create ~name:"S1" ~input:s1
+        ~conditions:[ { Select.attr = "A"; op = Select.Gt; value = vi 0 } ]
+        ();
+      Dedup.create ~name:"S1d" ~input:s1 ~key:[ "B" ] ();
+      Sort.create ~input:s1 ~by:"B" ();
+    ]
   in
   (* Select and Dedup keep the schema/stream name, so stages chain. *)
+  check_bool "stages chain" true
+    (List.for_all2 reads_from
+       (List.filteri (fun i _ -> i < 2) stages)
+       (List.tl stages));
   List.iter
-    (fun e -> ignore (pipeline.Engine.Operator.push e))
+    (fun e -> ignore (chain_push stages e))
     [
       data s1 [ 1; 9 ];
       data s1 [ -1; 4 ] (* filtered *);
@@ -376,8 +406,7 @@ let test_pipeline_select_dedup_sort () =
       data s1 [ 3; 4 ];
     ];
   let out =
-    pipeline.Engine.Operator.push
-      (Element.Punct (Punctuation.watermark s1 "B" (vi 100)))
+    chain_push stages (Element.Punct (Punctuation.watermark s1 "B" (vi 100)))
   in
   Alcotest.(check (list (testable Value.pp ( = ))))
     "filtered, deduped, sorted"
@@ -385,28 +414,22 @@ let test_pipeline_select_dedup_sort () =
     (values_of out "B")
 
 let test_pipeline_rejects_mismatch () =
-  match
-    Engine.Pipeline.compose
-      [
-        Select.create ~name:"sel" ~input:s1 ~conditions:[] ();
-        Dedup.create ~input:s2 ~key:[ "B" ] ();
-      ]
-  with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected mismatch rejection"
+  check_bool "a stage over S2 does not read S1's output" false
+    (reads_from
+       (Select.create ~name:"sel" ~input:s1 ~conditions:[] ())
+       (Dedup.create ~input:s2 ~key:[ "B" ] ()))
 
 let test_pipeline_flush_drains_all_stages () =
-  let pipeline =
-    Engine.Pipeline.compose
-      [
-        Dedup.create ~name:"S1" ~input:s1 ~key:[ "A" ] ();
-        Sort.create ~input:s1 ~by:"B" ();
-      ]
+  let stages =
+    [
+      Dedup.create ~name:"S1" ~input:s1 ~key:[ "A" ] ();
+      Sort.create ~input:s1 ~by:"B" ();
+    ]
   in
   List.iter
-    (fun e -> ignore (pipeline.Engine.Operator.push e))
+    (fun e -> ignore (chain_push stages e))
     [ data s1 [ 1; 8 ]; data s1 [ 2; 3 ] ];
-  let out = pipeline.Engine.Operator.flush () in
+  let out = chain_flush stages in
   Alcotest.(check (list (testable Value.pp ( = ))))
     "sorted on flush" [ vi 3; vi 8 ] (values_of out "B")
 
